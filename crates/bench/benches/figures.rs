@@ -286,6 +286,70 @@ fn bench_hotpath(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_sched(c: &mut Criterion) {
+    // The warp scheduler's pop/push layer alone (the radix heap of
+    // DESIGN.md §15), with no memory system behind it: one kernel's
+    // schedule drained pop → advance → reschedule/retire, the way the
+    // engine's loop drives it.
+    use mcm_sim::stage::sched::KernelSchedule;
+    use mcm_sim::trace::Tracer;
+    use mcm_sim::{AllocInfo, KernelDesc, Workload};
+    use mcm_types::{TbId, VirtAddr, WarpId};
+
+    /// 16k threadblocks of 16 warps, 32 lines per warp.
+    struct WideKernel;
+    impl Workload for WideKernel {
+        fn name(&self) -> &str {
+            "sched-16k"
+        }
+        fn allocs(&self) -> &[AllocInfo] {
+            &[]
+        }
+        fn num_kernels(&self) -> usize {
+            1
+        }
+        fn kernel(&self, _k: usize) -> KernelDesc {
+            KernelDesc {
+                num_tbs: 16 * 1024,
+                warps_per_tb: 16,
+                insts_per_mem: 1,
+                line_reuse: 1,
+            }
+        }
+        fn warp_accesses(&self, _k: usize, tb: TbId, warp: WarpId) -> Vec<VirtAddr> {
+            let base = (tb.index() as u64 * 16 + warp.index() as u64) << 12;
+            (0..32).map(|i| VirtAddr::new(base + i * 128)).collect()
+        }
+    }
+
+    let cfg = Harness::quick().base_config().clone();
+    let mut g = c.benchmark_group("sched");
+    g.sample_size(10);
+    g.bench_function("drain_16k_tb_x16_warps", |b| {
+        let mut pool = Vec::new();
+        let mut tracer: Tracer = Default::default();
+        b.iter(|| {
+            let mut s = KernelSchedule::new(&cfg, &WideKernel, 0, 0, &mut pool, &mut tracer);
+            let mut pops = 0u64;
+            while let Some((t, wid)) = s.pop() {
+                pops += 1;
+                let n = s.batch(&cfg, wid).2.len();
+                s.advance(wid, n);
+                if s.warp_finished(wid) {
+                    s.retire_warp(&WideKernel, 0, wid, t, &mut pool, &mut tracer);
+                } else {
+                    // A DRAM-like batch completion: 200–455 cycles out.
+                    let gap = 200 + (wid as u64 * 0x9E37 + pops * 31) % 256;
+                    s.reschedule(wid, t + gap);
+                }
+            }
+            s.recycle(&mut pool);
+            pops
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cell,
@@ -303,6 +367,7 @@ criterion_group!(
     bench_table4,
     bench_ablation,
     bench_micro,
-    bench_hotpath
+    bench_hotpath,
+    bench_sched
 );
 criterion_main!(benches);

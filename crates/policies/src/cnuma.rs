@@ -12,12 +12,11 @@
 //! Migration is free when `ideal` (as the paper assumes for configs 3-4);
 //! Fig. 20 re-enables real costs.
 
-use std::collections::{HashMap, HashSet};
-
 use mcm_mem::{FrameAllocator, ReservationTable};
 use mcm_sim::{AllocInfo, Directive, FaultCtx, PagingPolicy, SimConfig, SimError, WalkEvent};
 use mcm_types::{
-    AllocId, ChipletId, PageSize, PhysAddr, PhysLayout, VirtAddr, BASE_PAGE_BYTES, VA_BLOCK_BYTES,
+    AllocId, ChipletId, FastMap, FastSet, PageSize, PhysAddr, PhysLayout, VirtAddr,
+    BASE_PAGE_BYTES, VA_BLOCK_BYTES,
 };
 
 use crate::mem_to_sim;
@@ -63,8 +62,10 @@ struct St {
     reservations: ReservationTable,
     layout: PhysLayout,
     /// Promoted blocks eligible for splitting, by VA-block index.
-    blocks: HashMap<u64, BlockState>,
-    dirty: HashSet<u64>,
+    blocks: FastMap<u64, BlockState>,
+    /// Blocks touched since the last epoch (sorted before use, so the
+    /// set's iteration order never reaches a directive).
+    dirty: FastSet<u64>,
 }
 
 impl CNuma {
@@ -124,8 +125,8 @@ impl PagingPolicy for CNuma {
                 .with_scatter(32),
             reservations: ReservationTable::new(),
             layout: cfg.layout(),
-            blocks: HashMap::new(),
-            dirty: HashSet::new(),
+            blocks: FastMap::default(),
+            dirty: FastSet::default(),
         });
     }
 

@@ -7,11 +7,11 @@
 //! migrations as free ("ideal"); Fig. 20 re-runs it with real costs —
 //! toggle with [`Grit::with_real_migration`].
 
-use std::collections::{HashMap, HashSet};
-
 use mcm_mem::FrameAllocator;
 use mcm_sim::{AllocInfo, Directive, FaultCtx, PagingPolicy, SimConfig, SimError, WalkEvent};
-use mcm_types::{AllocId, ChipletId, PageSize, PhysAddr, PhysLayout, VirtAddr, BASE_PAGE_BYTES};
+use mcm_types::{
+    AllocId, ChipletId, FastMap, FastSet, PageSize, PhysAddr, PhysLayout, VirtAddr, BASE_PAGE_BYTES,
+};
 
 use crate::mem_to_sim;
 
@@ -42,11 +42,12 @@ struct St {
     allocator: FrameAllocator,
     layout: PhysLayout,
     /// Per-64KB-page access counts by requester chiplet.
-    history: HashMap<u64, [u32; MAX_CHIPLETS]>,
-    /// Pages touched since the last epoch.
-    dirty: HashSet<u64>,
+    history: FastMap<u64, [u32; MAX_CHIPLETS]>,
+    /// Pages touched since the last epoch (sorted before use, so the
+    /// set's iteration order never reaches a directive).
+    dirty: FastSet<u64>,
     /// Current frame of each mapped page (for freeing on migration).
-    frames: HashMap<u64, (PhysAddr, AllocId)>,
+    frames: FastMap<u64, (PhysAddr, AllocId)>,
 }
 
 impl Grit {
@@ -95,9 +96,9 @@ impl PagingPolicy for Grit {
             allocator: FrameAllocator::new(cfg.layout(), cfg.pf_blocks_per_chiplet)
                 .with_scatter(32),
             layout: cfg.layout(),
-            history: HashMap::new(),
-            dirty: HashSet::new(),
-            frames: HashMap::new(),
+            history: FastMap::default(),
+            dirty: FastSet::default(),
+            frames: FastMap::default(),
         });
     }
 

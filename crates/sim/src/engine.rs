@@ -3,9 +3,10 @@
 //! Executes every kernel of a [`Workload`](crate::Workload) against a
 //! machine built from a [`SimConfig`](crate::SimConfig), with memory
 //! mapping decided by a [`PagingPolicy`](crate::PagingPolicy). Warps are
-//! interleaved through a time-ordered event heap; throughput limits come
-//! from busy-until resources (SM load/store ports, page walkers, DRAM
-//! channels, interconnect links), so warp-level parallelism hides latency exactly
+//! interleaved through a monotone radix heap of wake-up events (no push
+//! precedes the last pop); throughput limits come from busy-until
+//! resources (SM load/store ports, page walkers, DRAM channels,
+//! interconnect links), so warp-level parallelism hides latency exactly
 //! until a resource saturates.
 //!
 //! The heavy lifting lives in the [`stage`](crate::stage) modules; the
@@ -19,7 +20,7 @@
 //! * [`Driver`](crate::stage::driver::Driver) — fault resolution,
 //!   directive application, shootdowns, audits;
 //! * [`KernelSchedule`](crate::stage::sched::KernelSchedule) — TB
-//!   distribution and the warp event heap.
+//!   distribution and the warp wake-up queue.
 
 use mcm_types::{ChipletId, TbId, VirtAddr};
 
@@ -269,7 +270,7 @@ enum AccessResult {
     /// driver resolves it (at the given cycle). Modelling the fault as a
     /// warp reschedule — instead of atomically simulating the post-fault
     /// path thousands of cycles in the future — keeps busy-until resource
-    /// state causal across the event heap.
+    /// state causal across the warp queue.
     Fault(u64),
 }
 

@@ -1,9 +1,9 @@
 //! The warp-scheduling stage: threadblock-to-SM distribution and warp
 //! bookkeeping for one kernel launch.
 //!
-//! Owns the time-ordered event heap that interleaves warps, the
-//! threadblock queues per SM, and the residency accounting that starts the
-//! next queued threadblock when one retires. The engine pops ready warps,
+//! Owns the monotone radix heap of wake-up events that interleaves warps,
+//! the threadblock queues per SM, and the residency accounting that starts
+//! the next queued threadblock when one retires. The engine pops ready warps,
 //! simulates their memory batch through the other stages, and pushes them
 //! back with [`KernelSchedule::reschedule`].
 
@@ -15,63 +15,106 @@ use crate::config::SimConfig;
 use crate::trace::{TraceEventKind, Tracer};
 use crate::workload::{tb_chiplet, KernelDesc, Workload};
 
-/// A 4-ary min-heap of `(ready_cycle, warp_id)` wake-up events.
+/// Radix buckets of [`RadixHeap`]: bucket 0 holds keys equal to the last
+/// popped key, bucket `b ≥ 1` keys whose highest bit differing from it is
+/// bit `b - 1` of the 128-bit key.
+const BUCKETS: usize = 129;
+
+/// A monotone radix heap of `(ready_cycle, warp_id)` wake-up events.
 ///
-/// Replaces `BinaryHeap<Reverse<(u64, usize)>>` on the engine's hottest
-/// non-access path (one pop + one push per warp batch). Each live warp is
-/// enqueued at most once, so keys are distinct and *any* correct min-queue
-/// pops the identical ascending `(cycle, warp)` sequence — the simulated
-/// schedule does not depend on which heap shape holds the events. Four
-/// children per node halve the sift-down depth that dominates `pop` on
-/// kernels with thousands of resident warps, and a node's children sit in
-/// a single cache line.
-#[derive(Default)]
-struct EventHeap {
-    /// `(ready_cycle, warp_id)`, heap-ordered (parent ≤ children).
-    slots: Vec<(u64, u32)>,
+/// Keys pack as `(cycle << 32) | warp` and are bucketed by the highest bit
+/// that differs from the last popped key; a 3-word occupancy mask finds
+/// the lowest non-empty bucket with `trailing_zeros`. Unless that is
+/// bucket 0, `pop` empties it, returns its minimum as the new reference
+/// key and redistributes the rest into strictly lower buckets, so each key
+/// moves at most once per key bit over its life instead of sifting through
+/// a tree on every pop.
+///
+/// Sound only for monotone use — every pushed key is ≥ the last popped
+/// one — which the engine guarantees (DESIGN.md §15):
+/// `reschedule(wid, at)` always has `at ≥ t` for the popped `(t, wid)`;
+/// `start_tb` pushes `(t + jitter, id)` with a fresh `id` above every live
+/// one; and each kernel launch starts a fresh queue. Each live warp is
+/// enqueued at most once, so keys are distinct and the heap pops the
+/// identical ascending `(cycle, warp)` sequence any min-queue would.
+struct RadixHeap {
+    buckets: [Vec<u128>; BUCKETS],
+    /// Bit `b` set ⇔ `buckets[b]` is non-empty.
+    occupied: [u64; 3],
+    /// The last popped key (0 before the first pop).
+    last: u128,
 }
 
-impl EventHeap {
-    fn push(&mut self, t: u64, wid: u32) {
-        let mut i = self.slots.len();
-        self.slots.push((t, wid));
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.slots[parent] <= self.slots[i] {
-                break;
-            }
-            self.slots.swap(parent, i);
-            i = parent;
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: [0; 3],
+            last: 0,
         }
+    }
+}
+
+impl RadixHeap {
+    #[inline]
+    fn bucket_of(key: u128, last: u128) -> usize {
+        (u128::BITS - (key ^ last).leading_zeros()) as usize
+    }
+
+    fn push(&mut self, t: u64, wid: u32) {
+        let key = (u128::from(t) << 32) | u128::from(wid);
+        debug_assert!(
+            key >= self.last,
+            "non-monotone push: ({t}, {wid}) before the last popped ({}, {})",
+            (self.last >> 32) as u64,
+            self.last as u32
+        );
+        let b = Self::bucket_of(key, self.last);
+        self.buckets[b].push(key);
+        self.occupied[b / 64] |= 1 << (b % 64);
     }
 
     fn pop(&mut self) -> Option<(u64, usize)> {
-        let top = *self.slots.first()?;
-        let last = self.slots.pop()?;
-        if !self.slots.is_empty() {
-            // Sift the displaced tail element down from the root.
-            let n = self.slots.len();
-            self.slots[0] = last;
-            let mut i = 0usize;
-            loop {
-                let first_child = i * 4 + 1;
-                if first_child >= n {
-                    break;
-                }
-                let mut min = first_child;
-                for c in first_child + 1..(first_child + 4).min(n) {
-                    if self.slots[c] < self.slots[min] {
-                        min = c;
-                    }
-                }
-                if self.slots[i] <= self.slots[min] {
-                    break;
-                }
-                self.slots.swap(i, min);
-                i = min;
+        let b = match self.occupied {
+            [0, 0, 0] => return None,
+            [0, 0, w] => 128 + w.trailing_zeros() as usize,
+            [0, w, _] => 64 + w.trailing_zeros() as usize,
+            [w, _, _] => w.trailing_zeros() as usize,
+        };
+        let key = if b == 0 {
+            let key = self.buckets[0].pop()?;
+            if self.buckets[0].is_empty() {
+                self.occupied[0] &= !1;
             }
-        }
-        Some((top.0, top.1 as usize))
+            key
+        } else {
+            // Re-anchor on the bucket's minimum: every other key of the
+            // bucket shares the bits above `b - 1` with it, so it lands in
+            // a strictly lower bucket.
+            let mut keys = std::mem::take(&mut self.buckets[b]);
+            self.occupied[b / 64] &= !(1 << (b % 64));
+            let (mut at, mut min) = (0, keys[0]);
+            for (i, &k) in keys.iter().enumerate().skip(1) {
+                if k < min {
+                    (at, min) = (i, k);
+                }
+            }
+            keys.swap_remove(at);
+            self.last = min;
+            let mut mask = [0u64; 3];
+            for &key in &keys {
+                let nb = Self::bucket_of(key, min);
+                self.buckets[nb].push(key);
+                mask[nb / 64] |= 1 << (nb % 64);
+            }
+            for (o, m) in self.occupied.iter_mut().zip(mask) {
+                *o |= m;
+            }
+            keys.clear();
+            self.buckets[b] = keys;
+            min
+        };
+        Some(((key >> 32) as u64, key as u32 as usize))
     }
 }
 
@@ -93,8 +136,8 @@ pub struct KernelSchedule {
     /// Queued (not yet started) threadblocks per SM.
     sm_queue: Vec<VecDeque<TbId>>,
     warps: Vec<WarpCtx>,
-    /// Min-heap of `(ready_cycle, warp_id)`.
-    heap: EventHeap,
+    /// Monotone min-queue of `(ready_cycle, warp_id)`.
+    heap: RadixHeap,
     /// Live warps per started threadblock, indexed by start slot.
     tb_live_warps: Vec<u32>,
     /// Start slot of each warp's threadblock.
@@ -122,7 +165,7 @@ impl KernelSchedule {
             kd,
             sm_queue: vec![VecDeque::new(); sms],
             warps: Vec::new(),
-            heap: EventHeap::default(),
+            heap: RadixHeap::default(),
             tb_live_warps: Vec::new(),
             warp_tb_slot: Vec::new(),
         };
@@ -392,5 +435,85 @@ mod tests {
             &mut Tracer::new(),
         );
         assert!(s.pop().is_none());
+    }
+
+    /// One step of the differential queue test: `op` picks the action,
+    /// `r` and `w` parameterise it.
+    type QueueOp = (u8, u64, u32);
+
+    fn queue_op() -> impl proptest::Strategy<Value = QueueOp> {
+        (0u8..10, 0u64..1 << 20, 0u32..8)
+    }
+
+    /// Pops both queues and checks they agree; records the popped key in
+    /// `last`. `Ok(false)` once both are empty.
+    fn pop_both(
+        heap: &mut RadixHeap,
+        model: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+        live: &mut std::collections::HashSet<(u64, u32)>,
+        last: &mut (u64, u32),
+    ) -> Result<bool, proptest::test_runner::TestCaseError> {
+        let want = model.pop().map(|std::cmp::Reverse(k)| k);
+        let got = heap.pop().map(|(t, w)| (t, w as u32));
+        proptest::prop_assert_eq!(got, want);
+        if let Some(k) = want {
+            live.remove(&k);
+            *last = k;
+        }
+        Ok(want.is_some())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The radix heap pops the exact sequence a `BinaryHeap` min-queue
+        /// pops under random monotone pushes and pops: ties at one cycle,
+        /// pushes at exactly the popped cycle with higher warp ids, gaps
+        /// beyond 2^32 cycles, cycles near 2^40, and drains to empty
+        /// followed by refills.
+        #[test]
+        fn radix_heap_matches_binary_heap(
+            near_2_40 in 0u8..2,
+            offset in 0u64..1 << 12,
+            ops in proptest::collection::vec(queue_op(), 1..400),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::{BinaryHeap, HashSet};
+
+            let base = if near_2_40 == 1 { (1u64 << 40) - (1 << 11) + offset } else { offset };
+            let mut heap = RadixHeap::default();
+            let mut model: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            let mut live: HashSet<(u64, u32)> = HashSet::new();
+            // The last popped key; pushes never go below it.
+            let mut last = (base, 0u32);
+            for (op, r, w) in ops {
+                let (lc, lw) = last;
+                let key = match op {
+                    // Small steps: a quarter land on the popped cycle.
+                    0..=3 => (lc + r % 4, w),
+                    // Exactly the popped cycle, at or above the popped warp.
+                    4 => (lc, lw + w),
+                    // A gap beyond 2^32 cycles.
+                    5 => (lc + (1 << 32) + r, w),
+                    6 => (lc + r, w),
+                    7 | 8 => {
+                        pop_both(&mut heap, &mut model, &mut live, &mut last)?;
+                        continue;
+                    }
+                    _ => {
+                        while pop_both(&mut heap, &mut model, &mut live, &mut last)? {}
+                        continue;
+                    }
+                };
+                // Distinct keys, monotone with respect to the last pop.
+                if key < last || !live.insert(key) {
+                    continue;
+                }
+                heap.push(key.0, key.1);
+                model.push(Reverse(key));
+            }
+            while pop_both(&mut heap, &mut model, &mut live, &mut last)? {}
+            proptest::prop_assert!(heap.pop().is_none());
+        }
     }
 }

@@ -350,6 +350,63 @@ fn bench_sched(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_analytic(c: &mut Criterion) {
+    // The analytic engine's three costs on one full-scale workload
+    // (DESIGN.md §14): capturing the streams, folding them once per
+    // (chiplets, SMs per chiplet, line size), and resolving one
+    // configuration against the fold.
+    use mcm_sim::analytic::{PlacementModel, Replay};
+    use mcm_sim::{tb_chiplet, Workload};
+
+    let h = Harness::full();
+    let cfg = h.base_config().clone();
+    let w = suite::lps();
+    let pm = PlacementModel::FirstTouch {
+        page: PageSize::Size256K,
+    };
+    let mut g = c.benchmark_group("analytic");
+    g.sample_size(10);
+    g.bench_function("capture_lps", |b| b.iter(|| Replay::capture(&w)));
+    let replay = Replay::capture(&w);
+    // An explicit schedule bypasses the fold cache: a fresh fold plus one
+    // resolve, which the resolve row below prices alone.
+    let chiplets = cfg.num_chiplets;
+    g.bench_function("fold_lps", |b| {
+        b.iter(|| replay.predict_scheduled(&cfg, &pm, |tb, n| tb_chiplet(tb, n, chiplets)))
+    });
+    // The first call folds and caches; every timed call only resolves.
+    let _ = replay.predict(&cfg, &pm);
+    g.bench_function("resolve_lps", |b| b.iter(|| replay.predict(&cfg, &pm)));
+    g.finish();
+
+    // Stream generation alone: every warp stream of the workload into one
+    // reused buffer, as capture and the cycle engine consume them.
+    let mut g = c.benchmark_group("workloads");
+    g.sample_size(10);
+    g.bench_function("gen_lps", |b| {
+        let mut buf = Vec::new();
+        b.iter(|| {
+            let mut lines = 0usize;
+            for k in 0..w.num_kernels() {
+                let d = w.kernel(k);
+                for t in 0..d.num_tbs {
+                    for warp in 0..d.warps_per_tb {
+                        w.warp_accesses_into(
+                            k,
+                            mcm_types::TbId::new(t),
+                            mcm_types::WarpId::new(warp),
+                            &mut buf,
+                        );
+                        lines += buf.len();
+                    }
+                }
+            }
+            lines
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cell,
@@ -368,6 +425,7 @@ criterion_group!(
     bench_ablation,
     bench_micro,
     bench_hotpath,
-    bench_sched
+    bench_sched,
+    bench_analytic
 );
 criterion_main!(benches);

@@ -337,6 +337,10 @@ impl Harness {
                 return Arc::clone(replay);
             }
         }
+        // Release the stale replay first: with two full-scale captures
+        // alive at once, the capture of the next workload set the
+        // sweep's peak memory.
+        *slot = None;
         let replay = Arc::new(analytic::Replay::capture(w));
         *slot = Some((key, Arc::clone(&replay)));
         replay

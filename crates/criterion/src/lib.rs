@@ -7,7 +7,8 @@
 //! [`criterion_group!`]/[`criterion_main!`] macros. Each bench runs its
 //! routine `sample_size` times and prints the mean wall-clock time — enough
 //! to track harness regressions by eye, with none of upstream criterion's
-//! statistics.
+//! statistics. As upstream, `cargo bench -- <filter>` runs only the benches
+//! whose `group/name` id contains `<filter>`.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -25,20 +26,33 @@ impl Criterion {
         println!("group {name}");
         BenchmarkGroup {
             _c: self,
+            name: name.to_string(),
             sample_size: 10,
         }
     }
 
     /// Run a single benchmark outside any group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_bench(name, 10, &mut f);
+        if selected(name) {
+            run_bench(name, 10, &mut f);
+        }
         self
     }
+}
+
+/// Whether the bench `id` matches the command line's filter: the first
+/// argument not starting with `-` (cargo passes `--bench` itself).
+fn selected(id: &str) -> bool {
+    std::env::args()
+        .skip(1)
+        .find(|a| !a.starts_with('-'))
+        .is_none_or(|filter| id.contains(&filter))
 }
 
 /// A named group of benchmarks sharing a sample size.
 pub struct BenchmarkGroup<'a> {
     _c: &'a mut Criterion,
+    name: String,
     sample_size: usize,
 }
 
@@ -51,7 +65,9 @@ impl BenchmarkGroup<'_> {
 
     /// Time one routine.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        run_bench(name, self.sample_size, &mut f);
+        if selected(&format!("{}/{name}", self.name)) {
+            run_bench(name, self.sample_size, &mut f);
+        }
         self
     }
 

@@ -23,12 +23,18 @@
 //!   64KB for every page size, so faults are the distinct 64KB granules
 //!   touched.
 //!
+//! Every count is an integer sum over the captured streams, so
+//! [`Replay`] reduces the streams once per threadblock schedule (a
+//! fold) and resolves each configuration against that fold in
+//! O(granules + SMs × structures).
+//!
 //! The model is deterministic and orders of magnitude faster than the
 //! cycle engine; `crates/bench/tests/cross_validation.rs` pins its
 //! per-metric error against the simulator. See DESIGN.md §14 for the
 //! equations and the error-band methodology.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use mcm_types::{AllocId, PageSize, TbId, VirtAddr, WarpId, BASE_PAGE_BYTES};
 
@@ -276,106 +282,14 @@ fn cliff_check(near_cliff: &mut Vec<String>, label: &str, footprint: u64, capaci
     }
 }
 
-/// Dense per-structure counting state for one replay: granule owner
-/// table, demand bitset, and the index bases/shifts that turn a raw VA
-/// into a table slot with two shifts and a subtract. All sizes involved
-/// (placement granule, translation unit, line, 64KB demand granule) are
-/// powers of two, which `SimConfig::validate` guarantees for
-/// `line_bytes` and `PageSize` guarantees for the rest.
-struct AllocCounters {
-    /// Structure base address.
-    base: u64,
-    /// `log2` of the placement granule (`max(page, 64KB)`).
-    gran_shift: u32,
-    /// `base >> gran_shift` — subtracted to index [`Self::owners`].
-    gran_base: u64,
-    /// Granule → owning chiplet; `u8::MAX` = never touched.
-    owners: Vec<u8>,
-    /// `base >> 16` — the index base of the replay's first-touch table.
-    demand_base: u64,
-    /// `log2(page × coverage group)` — one TLB entry's reach.
-    unit_shift: u32,
-    /// `base >> unit_shift`.
-    unit_base: u64,
-    /// Words a distinct-unit bitset for this structure needs.
-    unit_words: usize,
-    /// `base >> log2(line_bytes)`.
-    line_base: u64,
-    /// Words a distinct-line bitset for this structure needs.
-    line_words: usize,
-    /// Index of the structure's page size in the replay's class list.
-    class: usize,
-}
-
-impl AllocCounters {
-    fn new(
-        cfg: &SimConfig,
-        a: &AllocInfo,
-        placement: &PlacementModel,
-        classes: &[PageSize],
-    ) -> AllocCounters {
-        let page = placement.page_for(a.id);
-        let base = a.base.raw();
-        // Slots the structure spans at `1 << shift` granularity, counting
-        // the partial granules a non-aligned base adds at both ends.
-        let span = |shift: u32| -> usize {
-            if a.bytes == 0 {
-                0
-            } else {
-                (((base + a.bytes - 1) >> shift) - (base >> shift) + 1) as usize
-            }
-        };
-        let gran_bytes = page.bytes().max(BASE_PAGE_BYTES);
-        let gran_shift = gran_bytes.trailing_zeros();
-        let demand_shift = BASE_PAGE_BYTES.trailing_zeros();
-        let unit_shift = (page.bytes() * coverage_group(cfg, page)).trailing_zeros();
-        let line_shift = cfg.line_bytes.trailing_zeros();
-        AllocCounters {
-            base,
-            gran_shift,
-            gran_base: base >> gran_shift,
-            owners: vec![u8::MAX; span(gran_shift)],
-            demand_base: base >> demand_shift,
-            unit_shift,
-            unit_base: base >> unit_shift,
-            unit_words: span(unit_shift).div_ceil(64),
-            line_base: base >> line_shift,
-            line_words: span(line_shift).div_ceil(64),
-            class: classes.iter().position(|p| *p == page).unwrap_or(0),
-        }
-    }
-}
-
-/// Sets a bit in a bitset that is allocated on first touch, so the
-/// (SM × structure) and (chiplet × structure) grids only pay for the
-/// combinations the workload actually exercises.
-fn lazy_set_bit(bits: &mut Vec<u64>, words: usize, i: usize) {
-    if bits.is_empty() {
-        bits.resize(words, 0);
-    }
-    bits[i >> 6] |= 1u64 << (i & 63);
-}
-
-fn popcount(bits: &[u64]) -> u64 {
-    bits.iter().map(|w| u64::from(w.count_ones())).sum()
-}
-
-fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &word) in bits.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            f(wi * 64 + w.trailing_zeros() as usize);
-            w &= w - 1;
-        }
-    }
-}
-
 /// A workload's access streams, captured once into flat per-kernel
 /// arenas and replayable against any machine configuration and
 /// placement model. Stream generation (the `Workload::warp_accesses`
-/// pattern math) is the analytic engine's largest fixed cost, and it is
-/// configuration-independent — sweeps that evaluate one workload under
-/// several configurations capture once and predict many times.
+/// pattern math) is configuration-independent, so sweeps that evaluate
+/// one workload under several configurations capture once and predict
+/// many times. Prediction is split in two: a [`Fold`] reduces the
+/// streams once per (chiplets, SMs per chiplet, line size), and each
+/// configuration resolves against it (DESIGN.md §14).
 pub struct Replay {
     allocs: Vec<AllocInfo>,
     kernels: Vec<ReplayKernel>,
@@ -387,10 +301,17 @@ pub struct Replay {
     /// is folded here once; [`Replay::predict`] maps the winning stream
     /// to its chiplet under each configuration's schedule.
     first_touch: Vec<Vec<u64>>,
+    /// Folds under the engine's own schedule ([`tb_chiplet`]), keyed by
+    /// the configuration fields a fold depends on.
+    folds: Mutex<Vec<(FoldKey, Arc<Fold>)>>,
 }
 
+/// `(num_chiplets, sms_per_chiplet, line_bytes)`: everything in a
+/// configuration that a [`Fold`] under the engine's schedule depends on.
+type FoldKey = (usize, usize, u64);
+
 /// One kernel's captured streams, flattened stream-major (TB-major,
-/// warp-minor) so prediction scans each stream's slice sequentially.
+/// warp-minor: stream `s` belongs to threadblock `s / warps_per_tb`).
 /// Within a stream, everything the model counts is order-independent
 /// (first touch is already folded into [`Replay::first_touch`]), so each
 /// stream is stored deduplicated: sorted distinct VAs with
@@ -398,8 +319,6 @@ pub struct Replay {
 /// (`passes` > 1) shrink proportionally.
 struct ReplayKernel {
     desc: crate::workload::KernelDesc,
-    /// TB index of each stream (one warp = one stream).
-    stream_tb: Vec<u32>,
     /// `flat[offsets[s] as usize..offsets[s + 1] as usize]` is stream
     /// `s`'s distinct raw VAs, ascending.
     offsets: Vec<u64>,
@@ -439,25 +358,15 @@ impl Replay {
     /// all far above any evaluation scale).
     pub fn capture<W: Workload + ?Sized>(workload: &W) -> Replay {
         let allocs = workload.allocs().to_vec();
-        let demand_shift = BASE_PAGE_BYTES.trailing_zeros();
         // Per structure: 64KB-granule first-touch table and the index
         // base that turns a raw VA into a slot.
         let mut first_touch: Vec<Vec<u64>> = allocs
             .iter()
-            .map(|a| {
-                let slots = if a.bytes == 0 {
-                    0
-                } else {
-                    (((a.base.raw() + a.bytes - 1) >> demand_shift)
-                        - (a.base.raw() >> demand_shift)
-                        + 1) as usize
-                };
-                vec![u64::MAX; slots]
-            })
+            .map(|a| vec![u64::MAX; span(a, DEMAND_SHIFT)])
             .collect();
         let ft_bases: Vec<u64> = allocs
             .iter()
-            .map(|a| a.base.raw() >> demand_shift)
+            .map(|a| a.base.raw() >> DEMAND_SHIFT)
             .collect();
         assert!(
             workload.num_kernels() <= 256,
@@ -465,6 +374,8 @@ impl Replay {
         );
         let mut kernels = Vec::with_capacity(workload.num_kernels());
         let mut last_alloc = 0usize;
+        // One stream buffer, reused by every stream.
+        let mut stream: Vec<VirtAddr> = Vec::new();
         for k in 0..workload.num_kernels() {
             let desc = workload.kernel(k);
             let nstreams = desc.num_tbs as usize * desc.warps_per_tb as usize;
@@ -472,16 +383,14 @@ impl Replay {
                 nstreams <= u32::MAX as usize,
                 "kernel {k} exceeds the replay's u32 stream index space"
             );
-            let mut stream_tb = Vec::with_capacity(nstreams);
             let mut offsets = Vec::with_capacity(nstreams + 1);
             let mut flat = Vec::new();
             let mut mult = Vec::new();
-            let mut scratch: Vec<u64> = Vec::new();
             offsets.push(0u64);
             for t in 0..desc.num_tbs {
                 for w in 0..desc.warps_per_tb {
-                    let s = stream_tb.len();
-                    let stream = workload.warp_accesses(k, TbId::new(t), WarpId::new(w));
+                    let s = offsets.len() - 1;
+                    workload.warp_accesses_into(k, TbId::new(t), WarpId::new(w), &mut stream);
                     assert!(
                         stream.len() <= 1 << 24,
                         "kernel {k} stream exceeds the first-touch key space (16M accesses)"
@@ -499,32 +408,25 @@ impl Replay {
                                 None => continue,
                             };
                         }
-                        let slot = ((va.raw() >> demand_shift) - ft_bases[last_alloc]) as usize;
+                        let slot = ((va.raw() >> DEMAND_SHIFT) - ft_bases[last_alloc]) as usize;
                         let key = ft_key(k, i, s);
                         let best = &mut first_touch[last_alloc][slot];
                         if key < *best {
                             *best = key;
                         }
                     }
-                    scratch.clear();
-                    scratch.extend(stream.iter().map(|va| va.raw()));
-                    scratch.sort_unstable();
-                    let mut run = 0u32;
-                    for (i, &raw) in scratch.iter().enumerate() {
-                        run += 1;
-                        if i + 1 == scratch.len() || scratch[i + 1] != raw {
-                            flat.push(raw);
-                            mult.push(run);
-                            run = 0;
-                        }
+                    // First touch is folded; nothing else depends on
+                    // the order, so the stream is sorted in place.
+                    stream.sort_unstable();
+                    for run in stream.chunk_by(|a, b| a == b) {
+                        flat.push(run[0].raw());
+                        mult.push(run.len() as u32);
                     }
                     offsets.push(flat.len() as u64);
-                    stream_tb.push(t);
                 }
             }
             kernels.push(ReplayKernel {
                 desc,
-                stream_tb,
                 offsets,
                 flat,
                 mult,
@@ -534,41 +436,63 @@ impl Replay {
             allocs,
             kernels,
             first_touch,
+            folds: Mutex::new(Vec::new()),
         }
     }
 
     /// Predicts the captured workload's figure-of-merit statistics
     /// closed-form, scheduling threadblocks to chiplets exactly as the
-    /// engine does ([`tb_chiplet`]).
+    /// engine does ([`tb_chiplet`]). The fold this needs is computed on
+    /// the first call for each `(num_chiplets, sms_per_chiplet,
+    /// line_bytes)` and reused by every later one.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::ConfigInvalid`] when `cfg` fails validation.
+    /// Returns [`SimError::ConfigInvalid`] when `cfg` fails validation or
+    /// its line is larger than the 64KB demand granule.
     pub fn predict(
         &self,
         cfg: &SimConfig,
         placement: &PlacementModel,
     ) -> Result<AnalyticStats, SimError> {
-        let chiplets = cfg.num_chiplets;
-        self.predict_scheduled(cfg, placement, |tb, num_tbs| {
-            tb_chiplet(tb, num_tbs, chiplets)
-        })
+        check_config(cfg)?;
+        let key = (cfg.num_chiplets, cfg.sms_per_chiplet, cfg.line_bytes);
+        let fold = {
+            // Held across the fold, so concurrent predicts on one replay
+            // fold it once.
+            let mut folds = self.folds.lock().unwrap_or_else(PoisonError::into_inner);
+            match folds.iter().find(|(k, _)| *k == key) {
+                Some((_, fold)) => Arc::clone(fold),
+                None => {
+                    let chiplets = cfg.num_chiplets;
+                    let fold = Arc::new(Fold::build(self, cfg, |tb, num_tbs| {
+                        tb_chiplet(tb, num_tbs, chiplets)
+                    }));
+                    folds.push((key, Arc::clone(&fold)));
+                    fold
+                }
+            }
+        };
+        Ok(fold.resolve(self, cfg, placement))
     }
 
     /// [`Replay::predict`] with an explicit threadblock→chiplet schedule
     /// — the hook the property tests use to show the model is invariant
-    /// under chiplet relabeling.
+    /// under chiplet relabeling. The fold is computed for this call and
+    /// not cached.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::ConfigInvalid`] when `cfg` fails validation.
+    /// Returns [`SimError::ConfigInvalid`] when `cfg` fails validation or
+    /// its line is larger than the 64KB demand granule.
     pub fn predict_scheduled(
         &self,
         cfg: &SimConfig,
         placement: &PlacementModel,
         schedule: impl Fn(TbId, u32) -> usize,
     ) -> Result<AnalyticStats, SimError> {
-        predict_captured(cfg, self, placement, schedule)
+        check_config(cfg)?;
+        Ok(Fold::build(self, cfg, schedule).resolve(self, cfg, placement))
     }
 }
 
@@ -603,88 +527,438 @@ pub fn predict_scheduled<W: Workload + ?Sized>(
     Replay::capture(workload).predict_scheduled(cfg, placement, schedule)
 }
 
-/// The replay + reach-model core shared by the public entry points.
-fn predict_captured(
-    cfg: &SimConfig,
-    replay: &Replay,
-    placement: &PlacementModel,
-    schedule: impl Fn(TbId, u32) -> usize,
-) -> Result<AnalyticStats, SimError> {
-    cfg.validate()?;
-    let chiplets = cfg.num_chiplets;
-    let topo = build_topology(cfg);
-    let allocs = &replay.allocs;
-    let na = allocs.len();
-    // Distinct translation classes among the structures, in size order.
-    let mut classes: Vec<PageSize> = allocs.iter().map(|a| placement.page_for(a.id)).collect();
-    classes.sort_by_key(|p| p.bytes());
-    classes.dedup();
-    let nc = classes.len().max(1);
-    // Per-structure dense counting state: every per-access update below
-    // is an index + bit-set, so the replay stays O(1) per access with no
-    // hashing — that constant factor is the entire fast path.
-    let mut mods: Vec<AllocCounters> = allocs
-        .iter()
-        .map(|a| AllocCounters::new(cfg, a, placement, &classes))
-        .collect();
-    let total_sms = chiplets * cfg.sms_per_chiplet;
-    let demand_shift = BASE_PAGE_BYTES.trailing_zeros();
-    let line_shift = cfg.line_bytes.trailing_zeros();
-    let sa = matches!(placement, PlacementModel::StaticAnalysis { .. });
+/// `log2` of the 64KB demand granule: the fold's slot size.
+const DEMAND_SHIFT: u32 = BASE_PAGE_BYTES.trailing_zeros();
 
-    let mut st = AnalyticStats::default();
-    let mut elems: u64 = 0;
-    // Lazily-allocated distinct-unit bitsets per (SM, structure) and
-    // (chiplet, structure), and distinct remote lines per
-    // (requester, structure); lookups per (SM, class).
-    let mut l1_units: Vec<Vec<u64>> = vec![Vec::new(); total_sms * na];
-    let mut l2_units: Vec<Vec<u64>> = vec![Vec::new(); chiplets * na];
-    let mut remote_line_bits: Vec<Vec<u64>> = vec![Vec::new(); chiplets * na];
-    let mut l1_lookups = vec![0u64; total_sms * nc];
-    // Remote traffic per (requester, owner): post-reuse element counts.
-    let mut remote_elems = vec![vec![0u64; chiplets]; chiplets];
-    // Elements landing on each owner chiplet's DRAM (bandwidth bound).
-    let mut owner_elems = vec![0u64; chiplets];
-    let mut per_alloc = vec![AllocAccessStats::default(); na];
+/// Translation-unit sizes the fold counts distinct units at: `4KB << i`
+/// for `i` in `0..UNIT_SIZES`, 4KB through 2MB. A TLB entry's reach (a
+/// page, or a 64KB page times a coverage group of at most 32) is always
+/// one of them.
+const UNIT_SIZES: usize = 10;
 
-    // (requester chiplet, requester SM) per stream, per kernel, in TB
-    // order with the engine's round-robin TB→SM assignment. Built for
-    // every kernel up front so granule owners can be resolved before the
-    // counting scan.
-    let metas: Vec<Vec<(usize, usize)>> = replay
-        .kernels
-        .iter()
-        .map(|rk| {
-            let mut sm_counter = vec![0usize; chiplets];
-            let mut meta = Vec::with_capacity(rk.stream_tb.len());
-            let mut cur_tb = u32::MAX;
-            let mut cur = (0usize, 0usize);
-            for &t in &rk.stream_tb {
-                if t != cur_tb {
-                    cur_tb = t;
-                    let ch = schedule(TbId::new(t), rk.desc.num_tbs).min(chiplets - 1);
-                    let sm = ch * cfg.sms_per_chiplet + sm_counter[ch] % cfg.sms_per_chiplet;
-                    sm_counter[ch] += 1;
-                    cur = (ch, sm);
-                }
-                meta.push(cur);
-            }
-            meta
-        })
-        .collect();
+/// `log2` of the smallest translation unit (4KB).
+const PAGE_SHIFT: u32 = 12;
 
-    // Resolve every touched granule's owner up front: static analysis is
-    // a pure function of the granule offset; first touch maps the
-    // granule's winning replay key (folded at capture over its 64KB
-    // sub-granules) to the winner's chiplet under this schedule.
-    for (a, am) in mods.iter_mut().enumerate() {
-        if sa {
-            for g in 0..am.owners.len() {
-                let offset = ((am.gran_base + g as u64) << am.gran_shift).saturating_sub(am.base);
-                am.owners[g] = sa_chiplet(&allocs[a], offset, chiplets) as u8;
-            }
+/// `log2` of the region one page bitset covers (2MB, the largest unit).
+const REGION_SHIFT: u32 = PAGE_SHIFT + UNIT_SIZES as u32 - 1;
+
+/// 64-bit words in one region's 4KB-page bitset.
+const REGION_WORDS: usize = 1 << (REGION_SHIFT - PAGE_SHIFT - 6);
+
+/// One structure's placement under one resolve: its granule owner table,
+/// the index bases/shifts that map a fold's 64KB slot to its granule,
+/// and its TLB reach and class. All
+/// sizes involved are powers of two, which `SimConfig::validate`
+/// guarantees for `line_bytes` and `PageSize` guarantees for the rest.
+struct AllocPlacement {
+    /// Structure base address.
+    base: u64,
+    /// `log2` of the placement granule (`max(page, 64KB)`).
+    gran_shift: u32,
+    /// `base >> gran_shift` — subtracted to index [`Self::owners`].
+    gran_base: u64,
+    /// Granule → owning chiplet; `u8::MAX` = never touched.
+    owners: Vec<u8>,
+    /// `base >> 16` — the index base of 64KB slots (the replay's
+    /// first-touch table and the fold's slot tallies).
+    demand_base: u64,
+    /// One TLB entry's reach as an index into [`Fold`]'s unit counts:
+    /// `log2(page × coverage group) − 12`.
+    unit: usize,
+    /// Index of the structure's page size in the resolve's class list.
+    class: usize,
+}
+
+impl AllocPlacement {
+    fn new(
+        cfg: &SimConfig,
+        a: &AllocInfo,
+        placement: &PlacementModel,
+        classes: &[PageSize],
+    ) -> AllocPlacement {
+        let page = placement.page_for(a.id);
+        let base = a.base.raw();
+        let gran_shift = page.bytes().max(BASE_PAGE_BYTES).trailing_zeros();
+        let unit_shift = (page.bytes() * coverage_group(cfg, page)).trailing_zeros();
+        AllocPlacement {
+            base,
+            gran_shift,
+            gran_base: base >> gran_shift,
+            owners: vec![u8::MAX; span(a, gran_shift)],
+            demand_base: base >> DEMAND_SHIFT,
+            unit: (unit_shift - PAGE_SHIFT) as usize,
+            class: classes.iter().position(|p| *p == page).unwrap_or(0),
+        }
+    }
+}
+
+/// Slots `a` spans at `1 << shift` granularity, counting the partial
+/// slots a non-aligned base adds at both ends.
+fn span(a: &AllocInfo, shift: u32) -> usize {
+    if a.bytes == 0 {
+        0
+    } else {
+        let base = a.base.raw();
+        (((base + a.bytes - 1) >> shift) - (base >> shift) + 1) as usize
+    }
+}
+
+/// Adds, for every unit size `4KB << i`, the number of distinct units a
+/// 2MB region's 4KB-page bitset touches to `counts[i]`.
+fn count_units(words: &[u64], counts: &mut [u64; UNIT_SIZES]) {
+    // Bit 0 of every group of 2, 4, ..., 64 bits.
+    const GROUP_LOW: [u64; 6] = [
+        0x5555_5555_5555_5555,
+        0x1111_1111_1111_1111,
+        0x0101_0101_0101_0101,
+        0x0001_0001_0001_0001,
+        0x0000_0001_0000_0001,
+        0x0000_0000_0000_0001,
+    ];
+    debug_assert_eq!(words.len(), REGION_WORDS);
+    // Bit `i`: word `i` is non-zero (one 256KB unit touched).
+    let mut nonzero = 0u32;
+    for (i, &w) in words.iter().enumerate() {
+        counts[0] += u64::from(w.count_ones());
+        // Collapse each group of 2^(j+1) pages onto its lowest bit.
+        let mut x = w;
+        for (j, low) in GROUP_LOW.iter().enumerate() {
+            x = (x | (x >> (1u32 << j))) & low;
+            counts[j + 1] += u64::from(x.count_ones());
+        }
+        nonzero |= u32::from(w != 0) << i;
+    }
+    // 512KB, 1MB and 2MB units span 2, 4 and 8 words.
+    let pairs = (nonzero | nonzero >> 1) & 0x55;
+    let quads = (pairs | pairs >> 2) & 0x11;
+    counts[7] += u64::from(pairs.count_ones());
+    counts[8] += u64::from(quads.count_ones());
+    counts[9] += u64::from(nonzero != 0);
+}
+
+/// Counts and clears bits `[lo, lo + len)` of `bits`.
+fn take_bits(bits: &mut [u64], lo: usize, len: usize) -> u64 {
+    let (mut i, end, mut n) = (lo, lo + len, 0u64);
+    while i < end {
+        let bit = i & 63;
+        let take = (64 - bit).min(end - i);
+        let mask = if take == 64 {
+            u64::MAX
         } else {
-            let sub_shift = am.gran_shift - demand_shift;
+            ((1u64 << take) - 1) << bit
+        };
+        n += u64::from((bits[i >> 6] & mask).count_ones());
+        bits[i >> 6] &= !mask;
+        i += take;
+    }
+    n
+}
+
+/// What one requesting chiplet did to one 64KB demand slot of one
+/// structure. The placement granule is `max(page, 64KB)`, so the slot
+/// has a single owner under every placement model.
+#[derive(Clone, Copy, Debug)]
+struct SlotTally {
+    /// Slot index, relative to the structure's `base >> 16`.
+    slot: u32,
+    /// Distinct lines the chiplet touched in the slot.
+    lines: u32,
+    /// Σm: accesses (post-dedup multiplicities) before line reuse.
+    elems: u64,
+    /// Σ reuse·m: memory instructions.
+    insts: u64,
+}
+
+/// Everything [`Replay::predict`] counts, reduced in one pass over the
+/// captured streams under one threadblock→(chiplet, SM) schedule. A
+/// configuration then resolves against it in
+/// O(granules + SMs × structures) ([`Fold::resolve`]) instead of
+/// rescanning every stream entry. It holds no per-stream data.
+struct Fold {
+    /// Chiplet of each threadblock, per kernel: maps first-touch winners
+    /// to their chiplet.
+    tb_chiplet: Vec<Vec<u8>>,
+    /// Per (requesting chiplet, structure): the touched slots, ascending.
+    slots: Vec<Vec<SlotTally>>,
+    /// Per (SM, structure): L1 TLB lookups (Σm).
+    sm_lookups: Vec<u64>,
+    /// Per (SM, structure): distinct translation units at each size.
+    sm_units: Vec<[u64; UNIT_SIZES]>,
+    /// Per (chiplet, structure): distinct translation units at each size
+    /// over the union of the chiplet's SMs.
+    chiplet_units: Vec<[u64; UNIT_SIZES]>,
+    /// Σm over every stream entry inside a structure.
+    elems: u64,
+    /// Σ reuse·m.
+    mem_insts: u64,
+    /// Σ insts_per_mem·reuse·m.
+    warp_insts: u64,
+}
+
+/// Transient per-structure state of one fold: dense tallies over the
+/// structure's 64KB slots, a distinct-line bitset, and 4KB-page bitsets
+/// over its 2MB regions for the current SM and chiplet. Flushes visit
+/// and clear only the slots and regions the lists name.
+struct FoldScratch {
+    /// `base >> 16`.
+    demand_base: u64,
+    /// Σm per slot; non-zero exactly for the slots in `touched`.
+    slot_elems: Vec<u64>,
+    /// Σ reuse·m per slot.
+    slot_insts: Vec<u64>,
+    /// Slots touched by the current chiplet.
+    touched: Vec<u32>,
+    /// `(base >> 16 << 16) >> log2(line_bytes)`: lines are indexed from
+    /// the first slot's start, so each slot's lines are one bit range.
+    line_base: u64,
+    /// Distinct lines the current chiplet touched.
+    lines: Vec<u64>,
+    /// `(base >> 21) << 9`: pages are indexed from the first region's
+    /// start, so each region's pages are [`REGION_WORDS`] whole words.
+    page_base: u64,
+    /// 4KB pages the current SM touched, and the regions they lie in.
+    sm_pages: Vec<u64>,
+    sm_regions: Vec<u32>,
+    /// 4KB pages the current chiplet touched, and their regions.
+    chiplet_pages: Vec<u64>,
+    chiplet_regions: Vec<u32>,
+    /// Per region: listed in `sm_regions` (bit 0), in `chiplet_regions`
+    /// (bit 1).
+    region_listed: Vec<u8>,
+}
+
+impl FoldScratch {
+    fn new(a: &AllocInfo, line_shift: u32) -> FoldScratch {
+        let base = a.base.raw();
+        let slots = span(a, DEMAND_SHIFT);
+        let regions = span(a, REGION_SHIFT);
+        let page_words = regions * REGION_WORDS;
+        FoldScratch {
+            demand_base: base >> DEMAND_SHIFT,
+            slot_elems: vec![0; slots],
+            slot_insts: vec![0; slots],
+            touched: Vec::new(),
+            line_base: (base >> DEMAND_SHIFT << DEMAND_SHIFT) >> line_shift,
+            lines: vec![0; (slots << (DEMAND_SHIFT - line_shift)).div_ceil(64)],
+            page_base: (base >> REGION_SHIFT) << (REGION_SHIFT - PAGE_SHIFT),
+            sm_pages: vec![0; page_words],
+            sm_regions: Vec::new(),
+            chiplet_pages: vec![0; page_words],
+            chiplet_regions: Vec::new(),
+            region_listed: vec![0; regions],
+        }
+    }
+
+    /// Counts the current SM's units into `counts`, merges its pages
+    /// into the chiplet's and clears them.
+    fn flush_sm(&mut self, counts: &mut [u64; UNIT_SIZES]) {
+        for &r in &self.sm_regions {
+            let r = r as usize;
+            let words = r * REGION_WORDS..(r + 1) * REGION_WORDS;
+            count_units(&self.sm_pages[words.clone()], counts);
+            for (c, w) in self.chiplet_pages[words.clone()]
+                .iter_mut()
+                .zip(&mut self.sm_pages[words])
+            {
+                *c |= *w;
+                *w = 0;
+            }
+            if self.region_listed[r] & 2 == 0 {
+                self.chiplet_regions.push(r as u32);
+            }
+            self.region_listed[r] = 2;
+        }
+        self.sm_regions.clear();
+    }
+
+    /// Counts the current chiplet's units into `counts` and its slots
+    /// into `tallies`, and clears both.
+    fn flush_chiplet(
+        &mut self,
+        line_shift: u32,
+        counts: &mut [u64; UNIT_SIZES],
+        tallies: &mut Vec<SlotTally>,
+    ) {
+        for &r in &self.chiplet_regions {
+            let r = r as usize;
+            let words = &mut self.chiplet_pages[r * REGION_WORDS..(r + 1) * REGION_WORDS];
+            count_units(words, counts);
+            words.fill(0);
+            self.region_listed[r] = 0;
+        }
+        self.chiplet_regions.clear();
+        let lines_per_slot = 1usize << (DEMAND_SHIFT - line_shift);
+        self.touched.sort_unstable();
+        tallies.reserve_exact(self.touched.len());
+        for &s in &self.touched {
+            let i = s as usize;
+            tallies.push(SlotTally {
+                slot: s,
+                lines: take_bits(&mut self.lines, i * lines_per_slot, lines_per_slot) as u32,
+                elems: std::mem::take(&mut self.slot_elems[i]),
+                insts: std::mem::take(&mut self.slot_insts[i]),
+            });
+        }
+        self.touched.clear();
+    }
+}
+
+impl Fold {
+    /// Folds `replay`'s streams under `schedule` for `cfg`'s chiplet
+    /// count, SMs per chiplet and line size — the only configuration
+    /// fields a fold depends on. Streams are visited SM by SM and chiplet
+    /// by chiplet, so the page and line sets only ever hold one SM's and
+    /// one chiplet's footprint.
+    fn build(replay: &Replay, cfg: &SimConfig, schedule: impl Fn(TbId, u32) -> usize) -> Fold {
+        let chiplets = cfg.num_chiplets;
+        let sms_per_chiplet = cfg.sms_per_chiplet;
+        let total_sms = chiplets * sms_per_chiplet;
+        let allocs = &replay.allocs;
+        let na = allocs.len();
+        let line_shift = cfg.line_bytes.trailing_zeros();
+
+        // Threadblock → chiplet, and every (kernel, threadblock) listed
+        // under its SM, with the engine's round-robin assignment within
+        // each chiplet.
+        let mut tb_chiplet = Vec::with_capacity(replay.kernels.len());
+        let mut by_sm: Vec<Vec<(u32, u32)>> = vec![Vec::new(); total_sms];
+        for (k, rk) in replay.kernels.iter().enumerate() {
+            let num_tbs = rk.desc.num_tbs;
+            let mut sm_counter = vec![0usize; chiplets];
+            let chs: Vec<u8> = (0..num_tbs)
+                .map(|t| {
+                    let ch = schedule(TbId::new(t), num_tbs).min(chiplets - 1);
+                    let sm = ch * sms_per_chiplet + sm_counter[ch] % sms_per_chiplet;
+                    sm_counter[ch] += 1;
+                    by_sm[sm].push((k as u32, t));
+                    ch as u8
+                })
+                .collect();
+            tb_chiplet.push(chs);
+        }
+
+        let mut scratch: Vec<FoldScratch> = allocs
+            .iter()
+            .map(|a| FoldScratch::new(a, line_shift))
+            .collect();
+        let mut fold = Fold {
+            tb_chiplet,
+            slots: vec![Vec::new(); chiplets * na],
+            sm_lookups: vec![0; total_sms * na],
+            sm_units: vec![[0; UNIT_SIZES]; total_sms * na],
+            chiplet_units: vec![[0; UNIT_SIZES]; chiplets * na],
+            elems: 0,
+            mem_insts: 0,
+            warp_insts: 0,
+        };
+        let mut last_alloc = 0usize;
+        // The cached structure's [base, base + bytes) as two locals, so
+        // the common stays-in-structure case is one compare.
+        let (mut cur_lo, mut cur_len) = allocs.first().map_or((1, 0), |a| (a.base.raw(), a.bytes));
+        for (ch, chiplet_sms) in by_sm.chunks(sms_per_chiplet).enumerate() {
+            for (i, tbs) in chiplet_sms.iter().enumerate() {
+                let sm = ch * sms_per_chiplet + i;
+                let lookups = &mut fold.sm_lookups[sm * na..(sm + 1) * na];
+                for &(k, t) in tbs {
+                    let rk = &replay.kernels[k as usize];
+                    let reuse = rk.desc.line_reuse.max(1) as u64;
+                    let wpt = rk.desc.warps_per_tb as usize;
+                    let streams = t as usize * wpt..(t as usize + 1) * wpt;
+                    let (lo, hi) = (
+                        rk.offsets[streams.start] as usize,
+                        rk.offsets[streams.end] as usize,
+                    );
+                    let mut elems = 0u64;
+                    for (&raw, &m) in rk.flat[lo..hi].iter().zip(&rk.mult[lo..hi]) {
+                        // Resolve the structure (distinct VAs are sorted,
+                        // so a stream crosses each structure once).
+                        if raw.wrapping_sub(cur_lo) >= cur_len {
+                            last_alloc =
+                                match allocs.iter().position(|a| a.contains(VirtAddr::new(raw))) {
+                                    Some(idx) => idx,
+                                    None => continue,
+                                };
+                            cur_lo = allocs[last_alloc].base.raw();
+                            cur_len = allocs[last_alloc].bytes;
+                        }
+                        let m = m as u64;
+                        let st = &mut scratch[last_alloc];
+                        let slot = ((raw >> DEMAND_SHIFT) - st.demand_base) as usize;
+                        if st.slot_elems[slot] == 0 {
+                            st.touched.push(slot as u32);
+                        }
+                        st.slot_elems[slot] += m;
+                        st.slot_insts[slot] += reuse * m;
+                        let line = ((raw >> line_shift) - st.line_base) as usize;
+                        st.lines[line >> 6] |= 1u64 << (line & 63);
+                        let page = ((raw >> PAGE_SHIFT) - st.page_base) as usize;
+                        let region = page >> (REGION_SHIFT - PAGE_SHIFT);
+                        if st.region_listed[region] & 1 == 0 {
+                            st.region_listed[region] |= 1;
+                            st.sm_regions.push(region as u32);
+                        }
+                        st.sm_pages[page >> 6] |= 1u64 << (page & 63);
+                        lookups[last_alloc] += m;
+                        elems += m;
+                    }
+                    fold.elems += elems;
+                    fold.mem_insts += reuse * elems;
+                    fold.warp_insts += rk.desc.insts_per_mem.max(1) as u64 * reuse * elems;
+                }
+                for (a, st) in scratch.iter_mut().enumerate() {
+                    st.flush_sm(&mut fold.sm_units[sm * na + a]);
+                }
+            }
+            for (a, st) in scratch.iter_mut().enumerate() {
+                st.flush_chiplet(
+                    line_shift,
+                    &mut fold.chiplet_units[ch * na + a],
+                    &mut fold.slots[ch * na + a],
+                );
+            }
+        }
+        fold
+    }
+
+    /// Resolves one configuration against the fold: granule owners under
+    /// `placement`, then sums over slot tallies and unit counts. Every
+    /// count is an integer sum, so the f64 reach, hop and cycle formulas
+    /// see exactly the integers a per-entry scan would feed them.
+    fn resolve(
+        &self,
+        replay: &Replay,
+        cfg: &SimConfig,
+        placement: &PlacementModel,
+    ) -> AnalyticStats {
+        let chiplets = cfg.num_chiplets;
+        let topo = build_topology(cfg);
+        let allocs = &replay.allocs;
+        let na = allocs.len();
+        // Distinct translation classes among the structures, in size order.
+        let mut classes: Vec<PageSize> = allocs.iter().map(|a| placement.page_for(a.id)).collect();
+        classes.sort_by_key(|p| p.bytes());
+        classes.dedup();
+        let nc = classes.len().max(1);
+        let mut mods: Vec<AllocPlacement> = allocs
+            .iter()
+            .map(|a| AllocPlacement::new(cfg, a, placement, &classes))
+            .collect();
+        let total_sms = chiplets * cfg.sms_per_chiplet;
+        // Granule owners. Static analysis is a pure function of the
+        // granule offset. First touch maps each granule's winning replay
+        // key (folded at capture over its 64KB sub-granules) to the
+        // winning stream's threadblock, and that to its chiplet.
+        let sa = matches!(placement, PlacementModel::StaticAnalysis { .. });
+        for (a, am) in mods.iter_mut().enumerate() {
+            if sa {
+                for g in 0..am.owners.len() {
+                    let offset =
+                        ((am.gran_base + g as u64) << am.gran_shift).saturating_sub(am.base);
+                    am.owners[g] = sa_chiplet(&allocs[a], offset, chiplets) as u8;
+                }
+                continue;
+            }
+            let sub_shift = am.gran_shift - DEMAND_SHIFT;
             let mut best = vec![u64::MAX; am.owners.len()];
             for (j, &key) in replay.first_touch[a].iter().enumerate() {
                 if key == u64::MAX {
@@ -698,175 +972,161 @@ fn predict_captured(
             for (g, &key) in best.iter().enumerate() {
                 if key != u64::MAX {
                     let (k, s) = ((key >> 56) as usize, (key & u32::MAX as u64) as usize);
-                    am.owners[g] = metas[k][s].0 as u8;
+                    let warps_per_tb = replay.kernels[k].desc.warps_per_tb as usize;
+                    am.owners[g] = self.tb_chiplet[k][s / warps_per_tb];
                 }
             }
         }
-    }
 
-    for (k, rk) in replay.kernels.iter().enumerate() {
-        let kd = &rk.desc;
-        let reuse = kd.line_reuse.max(1) as u64;
-        let gap = kd.insts_per_mem.max(1) as u64;
-        // Owners are pre-resolved and everything else the model counts is
-        // order-independent, so the scan runs stream-major: each stream's
-        // slice is sequential and its (chiplet, SM) are loop constants.
-        let mut last_alloc = 0usize;
-        // The cached structure's [base, base + bytes) as two locals, so
-        // the common stays-in-structure case is one compare.
-        let (mut cur_lo, mut cur_len) = allocs.first().map_or((1, 0), |a| (a.base.raw(), a.bytes));
-        for (s, &(ch, sm)) in metas[k].iter().enumerate() {
-            let (lo, hi) = (rk.offsets[s] as usize, rk.offsets[s + 1] as usize);
-            for (&raw, &m) in rk.flat[lo..hi].iter().zip(&rk.mult[lo..hi]) {
-                // Resolve the structure (distinct VAs are sorted, so a
-                // stream crosses each structure once).
-                if raw.wrapping_sub(cur_lo) >= cur_len {
-                    last_alloc = match allocs.iter().position(|a| a.contains(VirtAddr::new(raw))) {
-                        Some(idx) => idx,
-                        None => continue,
-                    };
-                    cur_lo = allocs[last_alloc].base.raw();
-                    cur_len = allocs[last_alloc].bytes;
+        let mut st = AnalyticStats {
+            mem_insts: self.mem_insts,
+            warp_insts: self.warp_insts,
+            ..AnalyticStats::default()
+        };
+        // Remote traffic per (requester, owner): post-reuse element counts
+        // and distinct lines.
+        let mut remote_elems = vec![vec![0u64; chiplets]; chiplets];
+        let mut remote_lines = vec![vec![0u64; chiplets]; chiplets];
+        // Elements landing on each owner chiplet's DRAM (bandwidth bound).
+        let mut owner_elems = vec![0u64; chiplets];
+        let mut per_alloc = vec![AllocAccessStats::default(); na];
+        for req in 0..chiplets {
+            for (a, am) in mods.iter().enumerate() {
+                let sub_shift = am.gran_shift - DEMAND_SHIFT;
+                for t in &self.slots[req * na + a] {
+                    let g =
+                        (((am.demand_base + t.slot as u64) >> sub_shift) - am.gran_base) as usize;
+                    let owner = am.owners[g] as usize;
+                    debug_assert!(owner < chiplets, "touched granule has an owner");
+                    owner_elems[owner] += t.elems;
+                    per_alloc[a].accesses += t.insts;
+                    if owner != req {
+                        st.remote_insts += t.insts;
+                        per_alloc[a].remote += t.insts;
+                        remote_elems[req][owner] += t.elems;
+                        remote_lines[req][owner] += u64::from(t.lines);
+                    }
                 }
-                let m = m as u64;
-                let am = &mut mods[last_alloc];
-                let g = ((raw >> am.gran_shift) - am.gran_base) as usize;
-                let owner = am.owners[g] as usize;
-                debug_assert!(owner < chiplets, "touched granule has an owner");
-                elems += m;
-                st.mem_insts += reuse * m;
-                st.warp_insts += gap * reuse * m;
-                owner_elems[owner] += m;
-                per_alloc[last_alloc].accesses += reuse * m;
-                if owner != ch {
-                    st.remote_insts += reuse * m;
-                    per_alloc[last_alloc].remote += reuse * m;
-                    remote_elems[ch][owner] += m;
-                    lazy_set_bit(
-                        &mut remote_line_bits[ch * na + last_alloc],
-                        am.line_words,
-                        ((raw >> line_shift) - am.line_base) as usize,
-                    );
+            }
+        }
+
+        // L1 TLB: reach model per (SM, class); misses become L2 lookups on
+        // the SM's chiplet.
+        let mut l2_lookups = vec![0u64; chiplets * nc];
+        for sm in 0..total_sms {
+            for (c, page) in classes.iter().enumerate() {
+                let (mut n, mut u) = (0u64, 0u64);
+                for (a, am) in mods.iter().enumerate().filter(|(_, am)| am.class == c) {
+                    n += self.sm_lookups[sm * na + a];
+                    u += self.sm_units[sm * na + a][am.unit];
                 }
-                let unit = ((raw >> am.unit_shift) - am.unit_base) as usize;
-                lazy_set_bit(&mut l1_units[sm * na + last_alloc], am.unit_words, unit);
-                l1_lookups[sm * nc + am.class] += m;
-                lazy_set_bit(&mut l2_units[ch * na + last_alloc], am.unit_words, unit);
+                if n == 0 {
+                    continue;
+                }
+                let e = cfg.tlb_entries(*page).l1 as u64;
+                let miss = reach_misses(n, u, e);
+                cliff_check(&mut st.near_cliff, "l1tlb", u, e);
+                st.l1tlb_misses += miss;
+                l2_lookups[(sm / cfg.sms_per_chiplet) * nc + c] += miss;
             }
         }
-    }
+        st.l1tlb_hits = st.mem_insts.saturating_sub(st.l1tlb_misses);
 
-    // L1 TLB: reach model per (SM, class); misses become L2 lookups on
-    // the SM's chiplet.
-    let mut l2_lookups = vec![0u64; chiplets * nc];
-    for sm in 0..total_sms {
-        for (c, page) in classes.iter().enumerate() {
-            let n = l1_lookups[sm * nc + c];
-            if n == 0 {
-                continue;
+        // L2 TLB: reach model per (chiplet, class) over the chiplet's union
+        // footprint; misses walk.
+        let mut l2_total_lookups = 0u64;
+        for ch in 0..chiplets {
+            for (c, page) in classes.iter().enumerate() {
+                let n = l2_lookups[ch * nc + c];
+                if n == 0 {
+                    continue;
+                }
+                let u: u64 = mods
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, am)| am.class == c)
+                    .map(|(a, am)| self.chiplet_units[ch * na + a][am.unit])
+                    .sum();
+                let e = cfg.tlb_entries(*page).l2 as u64;
+                let miss = reach_misses(n, u, e);
+                cliff_check(&mut st.near_cliff, "l2tlb", u, e);
+                st.l2tlb_misses += miss;
+                l2_total_lookups += n;
             }
-            let u: u64 = (0..na)
-                .filter(|&a| mods[a].class == c)
-                .map(|a| popcount(&l1_units[sm * na + a]))
-                .sum();
-            let e = cfg.tlb_entries(*page).l1 as u64;
-            let miss = reach_misses(n, u, e);
-            cliff_check(&mut st.near_cliff, "l1tlb", u, e);
-            st.l1tlb_misses += miss;
-            l2_lookups[(sm / cfg.sms_per_chiplet) * nc + c] += miss;
         }
-    }
-    st.l1tlb_hits = st.mem_insts.saturating_sub(st.l1tlb_misses);
+        st.l2tlb_hits = l2_total_lookups.saturating_sub(st.l2tlb_misses);
 
-    // L2 TLB: reach model per (chiplet, class) over the chiplet's union
-    // footprint; misses walk.
-    let mut l2_total_lookups = 0u64;
-    for ch in 0..chiplets {
-        for (c, page) in classes.iter().enumerate() {
-            let n = l2_lookups[ch * nc + c];
-            if n == 0 {
-                continue;
+        st.faults = replay
+            .first_touch
+            .iter()
+            .map(|ft| ft.iter().filter(|&&key| key != u64::MAX).count() as u64)
+            .sum();
+        st.walks = st.l2tlb_misses + st.faults;
+        for (i, a) in allocs.iter().enumerate() {
+            if per_alloc[i].accesses > 0 {
+                st.per_alloc.insert(a.id, per_alloc[i]);
             }
-            let u: u64 = (0..na)
-                .filter(|&a| mods[a].class == c)
-                .map(|a| popcount(&l2_units[ch * na + a]))
-                .sum();
-            let e = cfg.tlb_entries(*page).l2 as u64;
-            let miss = reach_misses(n, u, e);
-            cliff_check(&mut st.near_cliff, "l2tlb", u, e);
-            st.l2tlb_misses += miss;
-            l2_total_lookups += n;
         }
-    }
-    st.l2tlb_hits = l2_total_lookups.saturating_sub(st.l2tlb_misses);
 
-    st.faults = replay
-        .first_touch
-        .iter()
-        .map(|ft| ft.iter().filter(|&&key| key != u64::MAX).count() as u64)
-        .sum();
-    st.walks = st.l2tlb_misses + st.faults;
-    for (i, a) in allocs.iter().enumerate() {
-        if per_alloc[i].accesses > 0 {
-            st.per_alloc.insert(a.id, per_alloc[i]);
-        }
-    }
-
-    // Interconnect: a requester whose distinct remote working set fits
-    // its L2 transfers each line once; an overflowing one streams every
-    // post-L1 remote element across the fabric. A line's owner is the
-    // owner of its granule, so per-owner distinct counts fall out of the
-    // per-structure line bitsets and the granule owner tables.
-    let mut hop_sum = 0.0f64;
-    for req in 0..chiplets {
-        let mut distinct_per_owner = vec![0u64; chiplets];
-        for a in 0..na {
-            let am = &mods[a];
-            let bits = &remote_line_bits[req * na + a];
-            for_each_bit(bits, |line_rel| {
-                let raw = (am.line_base + line_rel as u64) << line_shift;
-                let g = ((raw >> am.gran_shift) - am.gran_base) as usize;
-                let owner = am.owners[g] as usize;
-                debug_assert!(owner < chiplets, "touched line has an owner");
-                distinct_per_owner[owner] += 1;
-            });
-        }
-        let distinct: u64 = distinct_per_owner.iter().sum();
-        let bytes = distinct * cfg.line_bytes;
-        let cached = bytes <= cfg.effective_l2d_bytes() as u64;
-        if distinct > 0 {
-            cliff_check(
-                &mut st.near_cliff,
-                "transfers",
-                bytes,
-                cfg.effective_l2d_bytes() as u64,
-            );
-        }
-        for own in 0..chiplets {
-            let count = if cached {
-                distinct_per_owner[own]
-            } else {
-                remote_elems[req][own]
-            };
-            if count == 0 {
-                continue;
+        // Interconnect: a requester whose distinct remote working set fits
+        // its L2 transfers each line once; an overflowing one streams every
+        // post-L1 remote element across the fabric.
+        let mut hop_sum = 0.0f64;
+        for req in 0..chiplets {
+            let distinct: u64 = remote_lines[req].iter().sum();
+            let bytes = distinct * cfg.line_bytes;
+            let cached = bytes <= cfg.effective_l2d_bytes() as u64;
+            if distinct > 0 {
+                cliff_check(
+                    &mut st.near_cliff,
+                    "transfers",
+                    bytes,
+                    cfg.effective_l2d_bytes() as u64,
+                );
             }
-            st.interconnect_transfers += count;
-            hop_sum += count as f64
-                * topo.hops(
-                    mcm_types::ChipletId::new(own as u8),
-                    mcm_types::ChipletId::new(req as u8),
-                ) as f64;
+            for own in 0..chiplets {
+                let count = if cached {
+                    remote_lines[req][own]
+                } else {
+                    remote_elems[req][own]
+                };
+                if count == 0 {
+                    continue;
+                }
+                st.interconnect_transfers += count;
+                hop_sum += count as f64
+                    * topo.hops(
+                        mcm_types::ChipletId::new(own as u8),
+                        mcm_types::ChipletId::new(req as u8),
+                    ) as f64;
+            }
         }
-    }
-    st.avg_hops = if st.interconnect_transfers == 0 {
-        0.0
-    } else {
-        hop_sum / st.interconnect_transfers as f64
-    };
+        st.avg_hops = if st.interconnect_transfers == 0 {
+            0.0
+        } else {
+            hop_sum / st.interconnect_transfers as f64
+        };
 
-    st.cycles = estimate_cycles(cfg, &st, elems, &owner_elems, hop_sum);
-    Ok(st)
+        st.cycles = estimate_cycles(cfg, &st, self.elems, &owner_elems, hop_sum);
+        st
+    }
+}
+
+/// Validates `cfg` for the analytic model: everything
+/// `SimConfig::validate` checks, plus a line no larger than the 64KB
+/// demand granule the fold counts lines in.
+fn check_config(cfg: &SimConfig) -> Result<(), SimError> {
+    cfg.validate()?;
+    if cfg.line_bytes > BASE_PAGE_BYTES {
+        return Err(SimError::ConfigInvalid {
+            reason: format!(
+                "the analytic model counts lines per 64KB demand granule, \
+                 so line_bytes must not exceed it, got {}",
+                cfg.line_bytes
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Coarse cycle estimate: the issue stream plus the largest of the

@@ -237,6 +237,10 @@ impl Workload for SyntheticWorkload {
 
     fn warp_accesses_into(&self, k: usize, tb: TbId, warp: WarpId, out: &mut Vec<VirtAddr>) {
         let spec = &self.kernels[k];
+        out.clear();
+        if spec.passes == 0 {
+            return;
+        }
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -244,58 +248,57 @@ impl Workload for SyntheticWorkload {
                 ^ (warp.index() as u64).wrapping_mul(0x94D0_49BB_1331_11EB),
         );
         let total_weight: f64 = spec.parts.iter().map(|p| p.weight).sum();
+        // Each part's share of the warp's unique lines.
+        let share = |part: &Part| {
+            (((part.weight / total_weight) * spec.unique_lines as f64).round() as usize).max(1)
+        };
 
-        // Build each part's unique working set, then interleave passes.
-        let mut uniques: Vec<Vec<VirtAddr>> = Vec::with_capacity(spec.parts.len());
+        // Every part's unique working set, part after part, in one buffer.
+        let mut uniques: Vec<VirtAddr> =
+            Vec::with_capacity(spec.parts.iter().map(share).sum::<usize>());
         for part in &spec.parts {
-            let share = ((part.weight / total_weight) * spec.unique_lines as f64).round() as usize;
-            let n = share.max(1);
             let a = &self.allocs[part.alloc];
             let (w_off, w_len) = part.window.unwrap_or((0, a.bytes));
             let w_len = w_len.min(a.bytes - w_off).max(LINE);
-            let mut v = Vec::with_capacity(n);
-            for kk in 0..part.pattern.cycle_len(n) {
-                let off = part.pattern.offset(
-                    kk,
-                    n,
-                    tb,
-                    warp,
-                    spec.num_tbs,
-                    spec.warps_per_tb,
-                    w_len,
-                    &mut rng,
-                );
-                v.push(a.base + w_off + off);
-            }
-            uniques.push(v);
+            let base = a.base + w_off;
+            part.pattern.fill(
+                share(part),
+                tb,
+                warp,
+                spec.num_tbs,
+                spec.warps_per_tb,
+                w_len,
+                &mut rng,
+                |off| uniques.push(base + off),
+            );
         }
 
-        // Interleave parts proportionally so structures mix in time, and
-        // repeat the whole sequence `passes` times for reuse.
-        let mut one_pass = Vec::with_capacity(spec.unique_lines);
-        let mut cursors = vec![0usize; uniques.len()];
-        let mut exhausted = 0;
-        while exhausted < uniques.len() {
-            exhausted = 0;
-            for (i, u) in uniques.iter().enumerate() {
-                if cursors[i] < u.len() {
-                    // Emit a small burst per structure for spatial locality.
-                    let burst = 4.min(u.len() - cursors[i]);
-                    one_pass.extend_from_slice(&u[cursors[i]..cursors[i] + burst]);
-                    cursors[i] += burst;
-                } else {
-                    exhausted += 1;
+        // Interleave parts proportionally so structures mix in time: round
+        // `r` emits a small burst of each part's lines `4r..4r + 4`, for
+        // spatial locality.
+        out.reserve(uniques.len() * spec.passes);
+        for round in 0.. {
+            let (mut start, mut emitted) = (0, false);
+            for part in &spec.parts {
+                let n = share(part);
+                let lo = 4 * round;
+                if lo < n {
+                    out.extend_from_slice(&uniques[start + lo..start + n.min(lo + 4)]);
+                    emitted = true;
                 }
+                start += n;
+            }
+            if !emitted {
+                break;
             }
         }
-        out.clear();
-        out.reserve(one_pass.len() * spec.passes);
-        for pass in 0..spec.passes {
+        // Repeat the whole sequence `passes` times for reuse, alternating
+        // direction to vary reuse distance slightly.
+        let one_pass = out.len();
+        for pass in 1..spec.passes {
+            out.extend_from_within(..one_pass);
             if pass % 2 == 1 {
-                // Alternate direction to vary reuse distance slightly.
-                out.extend(one_pass.iter().rev().copied());
-            } else {
-                out.extend(one_pass.iter().copied());
+                out[pass * one_pass..].reverse();
             }
         }
         // A pinch of shuffling within small windows keeps streams from
@@ -432,5 +435,128 @@ mod tests {
                 passes: 1,
                 parts: vec![Part::new(1, 1.0, Pattern::Uniform)],
             });
+    }
+
+    /// The stream as the generator once built it: a `Vec` of uniques per
+    /// part from per-line [`Pattern::offset`] calls, interleaved through
+    /// cursors into a separate pass buffer, then repeated.
+    fn reference_stream(w: &SyntheticWorkload, k: usize, tb: TbId, warp: WarpId) -> Vec<VirtAddr> {
+        let spec = &w.kernels[k];
+        let mut rng = StdRng::seed_from_u64(
+            w.seed
+                ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (tb.index() as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                ^ (warp.index() as u64).wrapping_mul(0x94D0_49BB_1331_11EB),
+        );
+        let total_weight: f64 = spec.parts.iter().map(|p| p.weight).sum();
+        let mut uniques: Vec<Vec<VirtAddr>> = Vec::new();
+        for part in &spec.parts {
+            let n =
+                (((part.weight / total_weight) * spec.unique_lines as f64).round() as usize).max(1);
+            let a = &w.allocs[part.alloc];
+            let (w_off, w_len) = part.window.unwrap_or((0, a.bytes));
+            let w_len = w_len.min(a.bytes - w_off).max(LINE);
+            let v = (0..n)
+                .map(|kk| {
+                    let off = part.pattern.offset(
+                        kk,
+                        n,
+                        tb,
+                        warp,
+                        spec.num_tbs,
+                        spec.warps_per_tb,
+                        w_len,
+                        &mut rng,
+                    );
+                    a.base + w_off + off
+                })
+                .collect();
+            uniques.push(v);
+        }
+        let mut one_pass = Vec::new();
+        let mut cursors = vec![0usize; uniques.len()];
+        let mut exhausted = 0;
+        while exhausted < uniques.len() {
+            exhausted = 0;
+            for (i, u) in uniques.iter().enumerate() {
+                if cursors[i] < u.len() {
+                    let burst = 4.min(u.len() - cursors[i]);
+                    one_pass.extend_from_slice(&u[cursors[i]..cursors[i] + burst]);
+                    cursors[i] += burst;
+                } else {
+                    exhausted += 1;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for pass in 0..spec.passes {
+            if pass % 2 == 1 {
+                out.extend(one_pass.iter().rev().copied());
+            } else {
+                out.extend(one_pass.iter().copied());
+            }
+        }
+        if out.len() > 8 {
+            let n = out.len();
+            for i in (0..n - 4).step_by(8) {
+                let j = i + rng.gen_range(0..4);
+                out.swap(i, j);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streams_equal_the_per_line_reference() {
+        let mut suite = crate::suite::all();
+        suite.push(toy());
+        let mut buf = vec![VirtAddr::new(7)];
+        for w in &suite {
+            for k in 0..w.num_kernels() {
+                let d = w.kernel(k);
+                for t in [0, d.num_tbs / 3, d.num_tbs - 1] {
+                    for warp in 0..d.warps_per_tb {
+                        let (tb, warp) = (TbId::new(t), WarpId::new(warp));
+                        let want = reference_stream(w, k, tb, warp);
+                        w.warp_accesses_into(k, tb, warp, &mut buf);
+                        assert_eq!(buf, want, "{} kernel {k} tb {t}", w.name());
+                    }
+                }
+            }
+        }
+        // Zero passes, several kernels, windows and uneven bursts.
+        let odd = WorkloadBuilder::new("odd")
+            .alloc("a", 3 << 20)
+            .alloc("b", 5 << 20)
+            .kernel(KernelSpec {
+                num_tbs: 5,
+                warps_per_tb: 3,
+                insts_per_mem: 1,
+                line_reuse: 1,
+                unique_lines: 23,
+                passes: 3,
+                parts: vec![
+                    Part::new(0, 0.2, Pattern::SharedSweep).with_window(4096, 1 << 20),
+                    Part::new(1, 0.7, Pattern::SparseStrided { stride_pages: 3 }),
+                    Part::new(0, 0.1, Pattern::Uniform),
+                ],
+            })
+            .kernel(KernelSpec {
+                num_tbs: 2,
+                warps_per_tb: 1,
+                insts_per_mem: 1,
+                line_reuse: 1,
+                unique_lines: 9,
+                passes: 0,
+                parts: vec![Part::new(1, 1.0, Pattern::Uniform)],
+            })
+            .build();
+        for k in 0..2 {
+            for t in 0..odd.kernel(k).num_tbs {
+                let tb = TbId::new(t);
+                let want = reference_stream(&odd, k, tb, WarpId::new(0));
+                assert_eq!(odd.warp_accesses(k, tb, WarpId::new(0)), want);
+            }
+        }
     }
 }

@@ -71,19 +71,142 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Number of *unique* line addresses this pattern will emit per warp
-    /// before repeating, given `n_unique` requested uniques.
-    pub(crate) fn cycle_len(&self, n_unique: usize) -> usize {
-        n_unique.max(1)
+    /// Emits the first `n` unique line addresses (offsets into the
+    /// structure) of warp `warp` of threadblock `tb`, in order.
+    ///
+    /// `bytes` is the structure (or window) length, at least [`LINE`];
+    /// `num_tbs` and `warps_per_tb` describe the launch. `rng` supplies
+    /// randomness for `Uniform`/`Irregular`/halo decisions and is part of
+    /// the warp's deterministic stream. Each pattern's per-warp constants
+    /// are computed once and the position is stepped by counting, so a
+    /// line costs a few adds; the output equals [`Pattern::offset`] for
+    /// `k` in `0..n`, drawing `rng` in the same order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fill(
+        &self,
+        n: usize,
+        tb: TbId,
+        warp: WarpId,
+        num_tbs: u32,
+        warps_per_tb: u32,
+        bytes: u64,
+        rng: &mut StdRng,
+        mut emit: impl FnMut(u64),
+    ) {
+        if n == 0 {
+            return;
+        }
+        let (tb, warp) = (tb.index() as u64, warp.index() as u64);
+        let (num_tbs, warps_per_tb) = (num_tbs as u64, warps_per_tb as u64);
+        match *self {
+            Pattern::Sliced { period, halo } => {
+                let mut walk = SlicedWalk::new(tb, warp, num_tbs, warps_per_tb, bytes, period);
+                for _ in 0..n {
+                    let jitter = halo > 0.0 && rng.gen_bool(halo);
+                    emit(walk.offset(jitter));
+                    walk.step();
+                }
+            }
+            Pattern::Uniform => {
+                let lines = (bytes / LINE).max(1);
+                for _ in 0..n {
+                    emit(rng.gen_range(0..lines) * LINE);
+                }
+            }
+            Pattern::SharedSweep => {
+                let mut sweep = SharedSweep::new(n, tb, warp, bytes);
+                for _ in 0..n {
+                    emit(sweep.pos);
+                    sweep.step();
+                }
+            }
+            Pattern::Tiled2D {
+                row_bytes,
+                tile_rows,
+            } => {
+                let row_bytes = row_bytes.clamp(LINE, bytes);
+                let image_rows = (bytes / row_bytes).max(1);
+                let tile_rows = tile_rows.clamp(1, image_rows);
+                let tiles_per_row = (num_tbs * tile_rows / image_rows).max(1);
+                let tile_w = (row_bytes / tiles_per_row).max(LINE);
+                let sub_w = (tile_w / warps_per_tb).max(LINE);
+                let lines_pr = (sub_w / LINE).clamp(1, 2);
+                let col_step = sub_w / lines_pr;
+                let row0 = tb / tiles_per_row * tile_rows;
+                let col0 = tb % tiles_per_row * tile_w + warp % warps_per_tb * sub_w;
+                let (mut r, mut c) = (0u64, 0u64);
+                for _ in 0..n {
+                    let col = col0 + c * col_step;
+                    let off = (row0 + r) * row_bytes + (col & !(LINE - 1)).min(row_bytes - LINE);
+                    emit(off.min(bytes - LINE));
+                    c += 1;
+                    if c == lines_pr {
+                        c = 0;
+                        r += 1;
+                        if r == tile_rows {
+                            r = 0;
+                        }
+                    }
+                }
+            }
+            Pattern::Irregular {
+                period,
+                locality,
+                spread,
+            } => {
+                let mut walk = SlicedWalk::new(tb, warp, num_tbs, warps_per_tb, bytes, period);
+                let mut sweep = SharedSweep::new(n, tb, warp, bytes);
+                let locality = locality.clamp(0.0, 1.0);
+                for _ in 0..n {
+                    let base = walk.offset(false);
+                    emit(if rng.gen_bool(locality) {
+                        base
+                    } else if spread == 0 {
+                        sweep.pos
+                    } else {
+                        // Scatter behind the in-order position: local
+                        // irregularity revisits data the sweep already
+                        // produced, so owners win first-touch races while
+                        // the accesses themselves still cross slice (and
+                        // chiplet) boundaries.
+                        let lo = base.saturating_sub(spread);
+                        let lines = ((base - lo) / LINE).max(1);
+                        lo + rng.gen_range(0..lines) * LINE
+                    });
+                    walk.step();
+                    sweep.step();
+                }
+            }
+            Pattern::SparseStrided { stride_pages } => {
+                let slice = (bytes / num_tbs).max(SPARSE_PAGE);
+                let slice_start = tb * bytes / num_tbs;
+                let slice_pages = slice / SPARSE_PAGE;
+                let stride = stride_pages.max(1) % slice_pages;
+                let lines_per_page = SPARSE_PAGE / LINE;
+                // `page` is `k * stride % slice_pages`; `line` is
+                // `k / slice_pages + warp * 8`, modulo the page's lines.
+                let (mut page, mut line, mut in_round) = (0u64, warp * 8 % lines_per_page, 0u64);
+                for _ in 0..n {
+                    let off = slice_start + page * SPARSE_PAGE + line * LINE;
+                    emit(off.min(bytes - LINE));
+                    page += stride;
+                    if page >= slice_pages {
+                        page -= slice_pages;
+                    }
+                    in_round += 1;
+                    if in_round == slice_pages {
+                        in_round = 0;
+                        line = (line + 1) % lines_per_page;
+                    }
+                }
+            }
+        }
     }
 
     /// The `k`-th unique line address (an offset into the structure) for
-    /// warp `warp` of threadblock `tb`.
-    ///
-    /// `bytes` is the structure (or window) length; `num_tbs` and
-    /// `warps_per_tb` describe the launch. `rng` supplies randomness for
-    /// `Uniform`/`Irregular`/halo decisions and is part of the warp's
-    /// deterministic stream.
+    /// warp `warp` of threadblock `tb`: the per-line closed form of
+    /// [`Pattern::fill`], kept as its test oracle.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn offset(
         &self,
@@ -127,11 +250,6 @@ impl Pattern {
                 } else if spread == 0 {
                     shared_sweep_offset(k, n_unique, tb, warp, bytes)
                 } else {
-                    // Scatter behind the in-order position: local
-                    // irregularity revisits data the sweep already
-                    // produced, so owners win first-touch races while the
-                    // accesses themselves still cross slice (and chiplet)
-                    // boundaries.
                     let lo = base.saturating_sub(spread);
                     let lines = ((base - lo) / LINE).max(1);
                     lo + rng.gen_range(0..lines) * LINE
@@ -159,14 +277,133 @@ impl Pattern {
     }
 }
 
-fn uniform_offset(bytes: u64, rng: &mut StdRng) -> u64 {
-    let lines = (bytes / LINE).max(1);
-    rng.gen_range(0..lines) * LINE
+/// Page granularity of [`Pattern::SparseStrided`]'s stride (64KB).
+const SPARSE_PAGE: u64 = 64 * 1024;
+
+/// One warp's walk through a C-periodic slicing (see module docs and
+/// [`Pattern::Sliced`]). The warp sub-divides its threadblock's slice and
+/// walks a bounded number of positions per period, staggered across
+/// periods so the union of warps covers the structure: up to 4 distinct
+/// positions per period, spread through the sub-slice. Warps sweep
+/// periods front-to-back inside a small stagger window (periods/8): the
+/// address space fills prefix-dense — as wavefront kernel execution
+/// does, so early VA blocks become fully mapped during PMM — while the
+/// live translation working set spans a realistic multi-period window
+/// rather than a single period.
+struct SlicedWalk {
+    period: u64,
+    periods: u64,
+    lines_pp: u64,
+    /// Byte step between a period's positions.
+    within_step: u64,
+    /// Start of the warp's sub-slice within a period: in its own
+    /// threadblock's slice, and in the previous threadblock's (halo).
+    own_start: u64,
+    halo_start: u64,
+    /// Period index `j` and position `l` within it, of the next line.
+    j: u64,
+    l: u64,
+    bytes: u64,
+}
+
+impl SlicedWalk {
+    fn new(tb: u64, warp: u64, num_tbs: u64, warps_per_tb: u64, bytes: u64, period: u64) -> Self {
+        let period = if period == 0 || period > bytes {
+            bytes
+        } else {
+            period
+        };
+        let periods = (bytes / period).max(1);
+        let slice = (period / num_tbs).max(LINE);
+        let sub = (slice / warps_per_tb).max(LINE);
+        let lines_pp = (sub / LINE).clamp(1, 4);
+        let window = (periods / 8).max(1);
+        let j0 = (tb * warps_per_tb + warp).wrapping_mul(0x9E37_79B9) % window;
+        let sub_start = warp % warps_per_tb * sub;
+        // Halo reads target the *previous* TB's slice: stencil boundary
+        // reads consume data the neighbour has already produced, so the
+        // owner is (almost) always the first toucher of its own pages.
+        let prev_tb = (tb + num_tbs - 1) % num_tbs;
+        SlicedWalk {
+            period,
+            periods,
+            lines_pp,
+            within_step: sub / lines_pp,
+            own_start: tb * period / num_tbs + sub_start,
+            halo_start: prev_tb * period / num_tbs + sub_start,
+            j: j0 % periods,
+            l: 0,
+            bytes,
+        }
+    }
+
+    /// The current line's offset; `halo` reads the neighbour's slice.
+    fn offset(&self, halo: bool) -> u64 {
+        let start = if halo {
+            self.halo_start
+        } else {
+            self.own_start
+        };
+        let within = (self.l * self.within_step) & !(LINE - 1);
+        let off = self.j * self.period + (start + within).min(self.period - LINE);
+        off.min(self.bytes - LINE)
+    }
+
+    fn step(&mut self) {
+        self.l += 1;
+        if self.l == self.lines_pp {
+            self.l = 0;
+            self.j += 1;
+            if self.j == self.periods {
+                self.j = 0;
+            }
+        }
+    }
 }
 
 /// All warps stream the structure front-to-back together; each warp
 /// samples every `bytes / n_unique` bytes with a per-warp jitter so the
 /// union of warps covers every page while fill stays prefix-dense.
+struct SharedSweep {
+    /// The current line's offset: `(k * stride + jitter) % len`.
+    pos: u64,
+    stride: u64,
+    len: u64,
+}
+
+impl SharedSweep {
+    fn new(n_unique: usize, tb: u64, warp: u64, bytes: u64) -> Self {
+        let stride = (bytes / n_unique.max(1) as u64).max(LINE) & !(LINE - 1);
+        let h = tb
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(warp)
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let jitter = (h % (stride / LINE).max(1)) * LINE;
+        let len = bytes.max(LINE);
+        SharedSweep {
+            pos: jitter % len,
+            // `pos + stride < 2 * len`: one subtraction keeps `pos` reduced.
+            stride: stride % len,
+            len,
+        }
+    }
+
+    fn step(&mut self) {
+        self.pos += self.stride;
+        if self.pos >= self.len {
+            self.pos -= self.len;
+        }
+    }
+}
+
+#[cfg(test)]
+fn uniform_offset(bytes: u64, rng: &mut StdRng) -> u64 {
+    let lines = (bytes / LINE).max(1);
+    rng.gen_range(0..lines) * LINE
+}
+
+/// Closed form of [`SharedSweep`]'s `k`-th position.
+#[cfg(test)]
 fn shared_sweep_offset(k: usize, n_unique: usize, tb: TbId, warp: WarpId, bytes: u64) -> u64 {
     let stride = (bytes / n_unique.max(1) as u64).max(LINE) & !(LINE - 1);
     let h = (tb.index() as u64)
@@ -177,10 +414,9 @@ fn shared_sweep_offset(k: usize, n_unique: usize, tb: TbId, warp: WarpId, bytes:
     (k as u64 * stride + jitter) % bytes.max(LINE)
 }
 
-/// See module docs: TB `t` owns slice `[t/n, (t+1)/n)` of each period; the
-/// warp sub-divides the slice and walks a bounded number of positions per
-/// period, staggered across periods so the union of warps covers the
-/// structure.
+/// Closed form of [`SlicedWalk`]'s `k`-th offset: TB `t` owns slice
+/// `[t/n, (t+1)/n)` of each period.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn sliced_offset(
     k: usize,
@@ -200,12 +436,6 @@ fn sliced_offset(
     let periods = (bytes / period).max(1);
     let slice = (period / num_tbs as u64).max(LINE);
     let sub = (slice / warps_per_tb as u64).max(LINE);
-    // Up to 4 distinct positions per period per warp, spread through the
-    // sub-slice. Warps sweep periods front-to-back inside a small stagger
-    // window (periods/8): the address space fills prefix-dense — as
-    // wavefront kernel execution does, so early VA blocks become fully
-    // mapped during PMM — while the live translation working set spans a
-    // realistic multi-period window rather than a single period.
     let lines_pp = (sub / LINE).clamp(1, 4);
     let window = (periods / 8).max(1);
     let j0 = (tb.index() as u64 * warps_per_tb as u64 + warp.index() as u64)
@@ -213,9 +443,6 @@ fn sliced_offset(
         % window;
     let j = (j0 + k as u64 / lines_pp) % periods;
     let l = k as u64 % lines_pp;
-    // Halo reads target the *previous* TB's slice: stencil boundary reads
-    // consume data the neighbour has already produced, so the owner is
-    // (almost) always the first toucher of its own pages.
     let tb_for_slice = if halo_jitter {
         (tb.index() as u64 + num_tbs as u64 - 1) % num_tbs as u64
     } else {
@@ -231,6 +458,7 @@ fn sliced_offset(
 /// Row-major 2D tiling: TB `t` covers a `tile_rows`-row tile; access `k`
 /// walks the tile row by row, so a TB touches `tile_rows` row-strided
 /// pages. Contiguous TBs tile row-major.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn tiled_offset(
     k: usize,
@@ -261,6 +489,7 @@ fn tiled_offset(
     off.min(bytes - LINE)
 }
 
+#[cfg(test)]
 fn sparse_offset(
     k: usize,
     tb: TbId,
@@ -270,7 +499,7 @@ fn sparse_offset(
     bytes: u64,
     stride_pages: u64,
 ) -> u64 {
-    const PAGE: u64 = 64 * 1024;
+    const PAGE: u64 = SPARSE_PAGE;
     let slice = (bytes / num_tbs as u64).max(PAGE);
     let slice_start = (tb.index() as u64 * bytes) / num_tbs as u64;
     let slice_pages = slice / PAGE;
@@ -582,5 +811,59 @@ mod tests {
             Pattern::SparseStrided { stride_pages: 2 }.static_hint(),
             StaticHint::Partitioned { period_bytes: 0 }
         );
+    }
+
+    fn any_pattern() -> impl proptest::prelude::Strategy<Value = Pattern> {
+        use proptest::prelude::*;
+        let period = prop_oneof![Just(0u64), 1u64..4096, 1u64..64].prop_map(|p| p * LINE);
+        (0u32..6, period, 0u64..20, 0u64..1 << 22, 0u32..5).prop_map(
+            |(kind, period, small, big, q)| match kind {
+                0 => Pattern::Sliced {
+                    period,
+                    halo: q as f64 / 4.0,
+                },
+                1 => Pattern::Uniform,
+                2 => Pattern::SharedSweep,
+                3 => Pattern::Tiled2D {
+                    row_bytes: big,
+                    tile_rows: small,
+                },
+                4 => Pattern::Irregular {
+                    period,
+                    locality: q as f64 / 4.0,
+                    spread: big,
+                },
+                _ => Pattern::SparseStrided {
+                    stride_pages: small,
+                },
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// `fill` emits exactly `offset(0..n)` and leaves the generator
+        /// where the per-line closed form leaves it.
+        #[test]
+        fn fill_equals_per_line_offsets(
+            p in any_pattern(),
+            n in 0usize..300,
+            launch in (1u32..2000, 1u32..33),
+            at in (0u32..u32::MAX, 0u32..u32::MAX),
+            bytes in (1u64..1 << 30, 0u32..2),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (num_tbs, warps_per_tb) = launch;
+            let (tb, warp) = (TbId::new(at.0 % num_tbs), WarpId::new(at.1 % warps_per_tb));
+            // Line-aligned, or any length of at least one line.
+            let bytes = if bytes.1 == 0 { bytes.0 * LINE } else { bytes.0 + LINE };
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut got = Vec::new();
+            p.fill(n, tb, warp, num_tbs, warps_per_tb, bytes, &mut r1, |o| got.push(o));
+            let want: Vec<u64> = (0..n)
+                .map(|k| p.offset(k, n, tb, warp, num_tbs, warps_per_tb, bytes, &mut r2))
+                .collect();
+            proptest::prop_assert!(got == want, "{p:?} n {n} bytes {bytes}: {got:?} vs {want:?}");
+            proptest::prop_assert_eq!(r1.gen_range(0..u64::MAX), r2.gen_range(0..u64::MAX));
+        }
     }
 }
